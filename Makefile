@@ -51,23 +51,20 @@ bench:
 
 # Engine-core performance tracking: the BenchmarkEngine* set, each
 # benchmark once per event-queue kind (binary heap, timing wheel),
-# plus the end-to-end BenchmarkScaleCell* pairs (rack-scale COARSE
-# cells with the flow-aggregation/fast-forward accelerations on and
-# off; benchjson pins their iteration count — see cmd/benchjson) and
+# plus the end-to-end BenchmarkScaleCell{256,1024} rack-scale COARSE
+# cells (benchjson pins their iteration count — see cmd/benchjson) and
 # the BenchmarkServeCell* inference-serving pair (local vs pooled KV),
 # and rewrite BENCH_core.json — the committed record the wheel-vs-heap
-# cancel-churn ratio and the accel-vs-baseline scale ratio are pinned
-# in.
+# cancel-churn ratio and the rack-scale cell times are pinned in.
 bench-core:
 	$(GO) run ./cmd/benchjson -set core
 
-# Scale smoke: one accelerated 1024-worker COARSE scale cell end to
-# end (the BenchmarkScaleCell1024/accel path). The ceiling is the
-# -timeout, deliberately generous for a run that takes seconds with
-# the accelerations on: it catches the rack-scale cell falling off the
-# aggregation/fast-forward fast path entirely, not timing noise.
+# Scale smoke: one 1024-worker COARSE scale cell end to end
+# (BenchmarkScaleCell1024). The ceiling is the -timeout, deliberately
+# generous for a run that takes seconds: it catches the rack-scale cell
+# falling off the fast-forward path entirely, not timing noise.
 scale-smoke:
-	$(GO) test ./internal/experiments -run '^$$' -bench 'BenchmarkScaleCell1024/accel' -benchtime 1x -count=1 -timeout 10m
+	$(GO) test ./internal/experiments -run '^$$' -bench 'BenchmarkScaleCell1024$$' -benchtime 1x -count=1 -timeout 10m
 
 # CI guard: every microbenchmark must still compile and run. One
 # iteration each, no file rewritten, no timing claims.

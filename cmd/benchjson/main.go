@@ -139,10 +139,9 @@ var benchSets = map[string]benchSet{
 	// The engine-core record: every BenchmarkEngine* runs once per
 	// queue kind (heap, wheel), so this file is where the
 	// wheel-vs-heap churn ratio is pinned — plus the end-to-end
-	// BenchmarkScaleCell* pairs, where the committed
-	// accel-vs-baseline ratio of the fabric scale accelerations
-	// (flow aggregation + steady-state fast-forward) is recorded, and
-	// the BenchmarkServeCell* pair timing the inference-serving hot
+	// BenchmarkScaleCell{256,1024} rack-scale COARSE cells (the
+	// workload the fabric's flow aggregation and steady-state
+	// fast-forward exist for), and the BenchmarkServeCell* pair timing the inference-serving hot
 	// path under both KV placements (local compute-bound, pooled
 	// fabric-bound).
 	"core": {

@@ -6,14 +6,14 @@ import (
 	"coarse/internal/sim"
 )
 
-// runFan admits k size-sized flows over path at t=0 — tagged as one fan
-// when agg is true — plus one background flow over bgPath, and returns
-// every completion time (fan members first, background last) together
-// with the bottleneck channel's integrated byte count at drain.
-func runFan(t *testing.T, agg bool, k int, size float64, mkPaths func(n *Network) (fan, bg []*Channel)) (fanDone []sim.Time, bgDone sim.Time, bneckBytes float64) {
+// runFan admits k size-sized flows over path at t=0, tagged as one fan,
+// plus one background flow over bgPath, and returns every completion
+// time (fan members first, background last) together with the
+// bottleneck channel's integrated byte count at drain. With plain set
+// the fan is admitted as k independent flows.
+func runFan(t *testing.T, plain bool, k int, size float64, mkPaths func(n *Network) (fan, bg []*Channel)) (fanDone []sim.Time, bgDone sim.Time, bneckBytes float64) {
 	t.Helper()
-	eng, net := newNet()
-	net.EnableFlowAggregation(agg)
+	eng, net := newNetPath(plain)
 	fan, bg := mkPaths(net)
 	fanDone = make([]sim.Time, k)
 	var tag AggTag
@@ -55,8 +55,8 @@ func TestAggregatedGroupMatchesIndependentFlows(t *testing.T) {
 	const k = 7
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			offDone, offBG, offBytes := runFan(t, false, k, 3*gib, tc.mk)
-			onDone, onBG, onBytes := runFan(t, true, k, 3*gib, tc.mk)
+			offDone, offBG, offBytes := runFan(t, true, k, 3*gib, tc.mk)
+			onDone, onBG, onBytes := runFan(t, false, k, 3*gib, tc.mk)
 			for i := range offDone {
 				if offDone[i] != onDone[i] {
 					t.Errorf("member %d: finish %v aggregated vs %v independent", i, onDone[i], offDone[i])

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"fmt"
 	"testing"
 
 	"coarse/internal/sim"
@@ -72,46 +73,50 @@ func TestSameInstantAdmissionAndCompletion(t *testing.T) {
 }
 
 // TestStalledFlowRevivalAfterSetLinkCapacity squeezes a link's
-// capacity down to the smallest denormal so the fair share rounds to
-// zero — both flows stall, their completion events are tombstoned —
-// then restores the capacity and checks both flows revive and finish
-// at the exact analytic time. This exercises the cancel-tombstone +
-// PlaceRanked revival path end to end.
+// capacity down to the smallest denormal, then restores it and checks
+// the flows revive and finish at the exact analytic time. With two
+// flows the fair share rounds to zero; with one it is the denormal
+// itself, a deadline far past the clock's range, which must stall the
+// flow rather than overflow. Either way the completion events are
+// tombstoned, so this exercises the cancel-tombstone + PlaceRanked
+// revival path end to end.
 func TestStalledFlowRevivalAfterSetLinkCapacity(t *testing.T) {
-	eng, net := newNet()
-	l := net.NewLink("pcie", gib, gib, 0)
-	var done []sim.Time
-	for i := 0; i < 2; i++ {
-		net.Transfer([]*Channel{l.Fwd()}, gib/2, func() { done = append(done, eng.Now()) })
-	}
-	// At t=0.5s: capacity collapses to the minimum denormal; the
-	// two-way share underflows to zero and both flows stall.
-	stalled := false
-	eng.Schedule(sim.Seconds(0.5), func() {
-		net.SetLinkCapacity(l, 5e-324, 5e-324)
-	})
-	eng.Schedule(sim.Seconds(0.75), func() {
-		net.Flush()
-		stalled = net.ActiveFlows() == 2 && l.Fwd().CurrentRate() == 0
-	})
-	// At t=1s: capacity restored; the flows must pick up where they
-	// left off.
-	eng.Schedule(sim.Seconds(1), func() {
-		net.SetLinkCapacity(l, gib, gib)
-	})
-	eng.Run()
-	if !stalled {
-		t.Fatal("flows did not stall at zero rate under denormal capacity")
-	}
-	// Each flow: 0.5 GiB at 0.5 GiB/s for 0.5s -> 0.25 GiB left;
-	// stalled 0.5s; then 0.5 GiB/s again -> 0.5s more. Finish at 1.5s.
-	if len(done) != 2 {
-		t.Fatalf("completions = %d, want 2 (stalled flows were never revived)", len(done))
-	}
-	for _, d := range done {
-		if d != sim.Seconds(1.5) {
-			t.Fatalf("finish times = %v, want both at 1.5s", done)
-		}
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("flows=%d", n), func(t *testing.T) {
+			eng, net := newNet()
+			l := net.NewLink("pcie", gib, gib, 0)
+			var done []sim.Time
+			for i := 0; i < n; i++ {
+				// Each flow alone would finish at t=1s.
+				net.Transfer([]*Channel{l.Fwd()}, gib/int64(n), func() { done = append(done, eng.Now()) })
+			}
+			stalled := false
+			eng.Schedule(sim.Seconds(0.5), func() {
+				net.SetLinkCapacity(l, 5e-324, 5e-324)
+			})
+			eng.Schedule(sim.Seconds(0.75), func() {
+				net.Flush()
+				stalled = net.ActiveFlows() == n && l.Fwd().CurrentRate() <= 5e-324
+			})
+			// At t=1s: capacity restored; the flows must pick up where
+			// they left off.
+			eng.Schedule(sim.Seconds(1), func() {
+				net.SetLinkCapacity(l, gib, gib)
+			})
+			eng.Run()
+			if !stalled {
+				t.Fatal("flows did not stall under denormal capacity")
+			}
+			// Half the bytes by 0.5s, stalled 0.5s, the other half by 1.5s.
+			if len(done) != n {
+				t.Fatalf("completions = %d, want %d (stalled flows were never revived)", len(done), n)
+			}
+			for _, d := range done {
+				if d != sim.Seconds(1.5) {
+					t.Fatalf("finish times = %v, want all at 1.5s", done)
+				}
+			}
+		})
 	}
 }
 

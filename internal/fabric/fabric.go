@@ -48,19 +48,20 @@
 // case (and only then) the block is re-reserved. See
 // refreshCompletions and scheduleCompletions.
 //
-// # Opt-in scale accelerations
+// # One fast path
 //
-// Two further optimizations are off by default and enabled per network
-// (COARSE_FLOW_AGG / COARSE_FASTFORWARD, or the corresponding
-// setters), because each reshapes the hot path enough that the
-// byte-identity argument deserves its own paragraph:
+// Two mechanisms sit on top of that pass and make rack-scale cells
+// cheap. Both are always on, and both are byte-exact with respect to
+// running the plain full filling pass on every dirty instant: the
+// package tests keep that plain path, behind an unexported switch, as
+// the oracle every scenario is replayed against.
 //
-// Flow aggregation (COARSE_FLOW_AGG): collective phases emit fans of
-// pairwise-identical transfers — same path, same size, admitted
-// back-to-back at one instant. Callers mark such fans with an AggTag;
-// members after the first fold into the first member's Flow entry as a
+// Flow aggregation folds symmetric fans. Collective phases emit fans
+// of pairwise-identical transfers: same path, same size, admitted
+// back-to-back at one instant. Callers mark such fans with an AggTag.
+// Members after the first fold into the first member's Flow entry as a
 // multiplicity count instead of new entries, provided no foreign
-// admission interleaved (the lastAdmitted check — an interleaved entry
+// admission interleaved (the lastAdmitted check: an interleaved entry
 // would change gather order and therefore float fold order). The
 // progressive-filling pass charges a group's bottleneck m times by
 // repeated subtraction (never share*m: float multiply is not repeated
@@ -68,40 +69,41 @@
 // m separate entries produce. Completion fans back out: the group's
 // carrier event fires at the first of the m consecutive ranks reserved
 // for the group and re-materializes one event per remaining member at
-// the following ranks, so per-member completion dispatches — count,
-// order, and interleaving with everything else — are exactly the
+// the following ranks, so per-member completion dispatches (count,
+// order, and interleaving with everything else) are exactly the
 // unaggregated schedule's.
 //
-// Steady-state fast-forward (COARSE_FASTFORWARD): between collective
-// boundaries the fabric sees long completion-only cascades whose
-// surviving allocation is provably constant, yet each completion pays
-// a full filling pass to rediscover it. Every pass records which
-// channel froze each flow; a pass whose triggers since the previous
-// pass were completions only may be skipped when no surviving flow was
-// frozen on (and no flow stalled across) any channel of the completed
-// flows' paths — then no surviving filling round's bottleneck changed,
-// so every surviving rate is bitwise the cached one and only the
-// utilization fold needs to run. The fold itself walks a maintained
-// list of non-idle channels (rather than all channels) and reuses the
-// cached channel rate wherever the completion touched none of the
-// channel's flows; a re-sum would add the same float64 summands in the
-// same order, so the reuse is exact. An admission burst whose entrants
-// are channel-disjoint from every survivor (each channel an entrant
-// crosses carries only this instant's entrants) is also served without
-// a full pass: max-min filling decomposes over connected components,
-// so survivors replay their cached rates and the entrants fill locally
-// from full-capacity residuals with identical float operations
-// (ffAdmitPass). Everything else — overlapping admissions, a member
-// joining a group a mid-instant pass already rated, stalled flows,
-// capacity changes, and chaos actuations (which arrive as capacity
-// changes) — forces a full pass, which is what makes the skip exact
-// rather than approximate.
+// Steady-state fast-forward skips passes whose answer is known.
+// Between collective boundaries the fabric sees long completion-only
+// cascades whose surviving allocation is provably constant, yet each
+// completion would pay a full filling pass to rediscover it. Every
+// full pass records which channel froze each flow. A pass whose
+// triggers since the previous pass were completions only is skipped
+// when no surviving flow was frozen on (and no flow stalled across)
+// any channel of the completed flows' paths: then no surviving filling
+// round's bottleneck changed, so every surviving rate is bitwise the
+// cached one and only the utilization fold runs (ffPass). An admission
+// burst whose entrants are channel-disjoint from every survivor (each
+// channel an entrant crosses carries only this instant's entrants) is
+// also served without a full pass: max-min filling decomposes over
+// connected components, so survivors replay their cached rates and the
+// entrants fill locally from full-capacity residuals with identical
+// float operations (ffAdmitPass). Everything else forces a full pass:
+// overlapping admissions, a member joining a group a mid-instant pass
+// already rated, stalled flows, capacity changes, and chaos actuations
+// (which arrive as capacity changes). That is what makes the skip
+// exact rather than approximate.
+//
+// The utilization fold walks a maintained list of non-idle channels
+// rather than all channels, and a skipped pass reuses the cached
+// channel rate wherever the completions touched none of the channel's
+// flows. A re-sum would add the same float64 summands in the same
+// order, so the reuse is exact.
 package fabric
 
 import (
 	"fmt"
 	"math"
-	"os"
 	"sort"
 
 	"coarse/internal/sim"
@@ -241,10 +243,10 @@ type Flow struct {
 // that emit several transfers with the same path, size, and start
 // instant pass one tag (zero value, one per fan) to
 // StartEphemeralTagged and the fabric folds the fan into a single
-// multiplicity-counted entry when flow aggregation is enabled. The tag
-// is only a hint — members that turn out not to be symmetric, or that
-// get interleaved with foreign admissions, are admitted individually
-// and the simulation is byte-identical either way.
+// multiplicity-counted entry. The tag is only a hint — members that
+// turn out not to be symmetric, or that get interleaved with foreign
+// admissions, are admitted individually and the simulation is
+// byte-identical either way.
 type AggTag struct {
 	group *Flow    // candidate entry, valid only while at == now
 	at    sim.Time // admission instant group was recorded at
@@ -322,14 +324,17 @@ type Network struct {
 	rescheduled uint64 // completion events moved by a pass
 	skipped     uint64 // completion events left in place by a pass
 
-	// Flow aggregation (COARSE_FLOW_AGG; see the package comment).
-	aggregate    bool
+	// plain disables both accelerations: no tagged-fan joins and a
+	// full filling pass on every dirty instant. Only the package tests
+	// set it, to replay a scenario on the oracle path.
+	plain bool
+
+	// Flow aggregation (see the package comment).
 	lastAdmitted *Flow  // last entry admitted; joins require no interleaving
 	aggregated   uint64 // members folded into a group entry instead of admitted
 	groupObs     func(int)
 
-	// Steady-state fast-forward (COARSE_FASTFORWARD).
-	fastForward bool
+	// Steady-state fast-forward.
 	trigMask    uint8   // trigger kinds observed since the last pass
 	ffValid     bool    // freeze bookkeeping below reflects the last pass
 	stalled     int     // entries the last full pass left with rate 0
@@ -363,29 +368,6 @@ const (
 	trigCapacity
 )
 
-// Environment switches for the opt-in scale accelerations, read once
-// per NewNetwork (mirroring COARSE_EVENT_QUEUE / COARSE_PARTITION).
-const (
-	flowAggEnv     = "COARSE_FLOW_AGG"
-	fastForwardEnv = "COARSE_FASTFORWARD"
-)
-
-func envEnabled(name string) bool {
-	switch os.Getenv(name) {
-	case "1", "on", "true":
-		return true
-	}
-	return false
-}
-
-// DefaultFlowAggregation reports whether COARSE_FLOW_AGG asks for flow
-// aggregation ("1", "on", or "true").
-func DefaultFlowAggregation() bool { return envEnabled(flowAggEnv) }
-
-// DefaultFastForward reports whether COARSE_FASTFORWARD asks for
-// steady-state fast-forward ("1", "on", or "true").
-func DefaultFastForward() bool { return envEnabled(fastForwardEnv) }
-
 // maxFlowPool bounds the network's flow free-list.
 const maxFlowPool = 4096
 
@@ -398,41 +380,16 @@ const listCompactMin = 16
 // never dispatch before the end-of-instant flush retimes it.
 const farFuture = sim.Time(math.MaxInt64)
 
+// maxDeadlineSecs bounds how far out a completion is scheduled (about
+// 136 years of virtual time). A flow due later than that, which only a
+// denormal rate produces, is handled as stalled: its deadline would
+// overflow the clock.
+const maxDeadlineSecs = 1 << 32
+
 // NewNetwork creates an empty network bound to a simulation engine.
-// The opt-in scale accelerations start from their environment
-// defaults (COARSE_FLOW_AGG, COARSE_FASTFORWARD).
 func NewNetwork(eng *sim.Engine) *Network {
-	return &Network{
-		eng:         eng,
-		lastSettle:  -1,
-		dueInstant:  -1,
-		aggregate:   DefaultFlowAggregation(),
-		fastForward: DefaultFastForward(),
-	}
+	return &Network{eng: eng, lastSettle: -1, dueInstant: -1}
 }
-
-// EnableFlowAggregation switches symmetric-fan aggregation on or off.
-// Safe at any point: already-admitted groups drain normally, and
-// toggling changes nothing observable (aggregation is byte-exact).
-func (n *Network) EnableFlowAggregation(on bool) { n.aggregate = on }
-
-// FlowAggregationEnabled reports whether tagged symmetric fans are
-// being folded into multiplicity-counted entries.
-func (n *Network) FlowAggregationEnabled() bool { return n.aggregate }
-
-// EnableFastForward switches the steady-state pass skip on or off.
-// Safe at any point: the first pass after enabling is always a full
-// pass (the skip needs freeze bookkeeping only full passes record).
-func (n *Network) EnableFastForward(on bool) {
-	n.fastForward = on
-	if !on {
-		n.ffValid = false
-	}
-}
-
-// FastForwardEnabled reports whether completion-only instants may skip
-// the progressive-filling pass.
-func (n *Network) FastForwardEnabled() bool { return n.fastForward }
 
 // Engine returns the simulation engine the network schedules on.
 func (n *Network) Engine() *sim.Engine { return n.eng }
@@ -470,12 +427,12 @@ func (n *Network) CompletionsSkipped() uint64 { return n.skipped }
 
 // FlowsAggregated returns how many transfers were folded into an
 // existing group entry instead of admitted as their own flow. Zero
-// unless flow aggregation is enabled and callers tag symmetric fans.
+// unless callers tag symmetric fans.
 func (n *Network) FlowsAggregated() uint64 { return n.aggregated }
 
 // FastForwardPasses returns how many reallocation passes were served
 // by the steady-state skip (they are included in Reshares, whose count
-// is identical with the optimization on or off).
+// is identical to the plain path's).
 func (n *Network) FastForwardPasses() uint64 { return n.ffPasses }
 
 // FastForwardAdmissions counts the fast-forward passes that filled a
@@ -508,6 +465,7 @@ func (n *Network) NewLink(name string, fwdCap, revCap float64, latency sim.Time)
 	l.rev.id = int32(len(n.channels))
 	n.channels = append(n.channels, l.rev)
 	n.links = append(n.links, l)
+	n.ffValid = false // the next pass is full: it sizes the scratch
 	return l
 }
 
@@ -546,10 +504,10 @@ func (n *Network) StartEphemeral(path []*Channel, size float64, onDone func()) {
 // fan: every transfer started with the same tag that shares the fan's
 // path (the same path slice — routes from a topology cache qualify),
 // size, and admission instant may be aggregated into one
-// multiplicity-counted entry when flow aggregation is enabled. The tag
-// must be zero-valued at the fan's first transfer and must not be
-// shared across fans that could interleave with each other's
-// admissions; a fresh tag per fan is always correct.
+// multiplicity-counted entry. The tag must be zero-valued at the fan's
+// first transfer and must not be shared across fans that could
+// interleave with each other's admissions; a fresh tag per fan is
+// always correct.
 func (n *Network) StartEphemeralTagged(tag *AggTag, path []*Channel, size float64, onDone func()) {
 	f := n.newFlow()
 	f.ephemeral = true
@@ -619,7 +577,7 @@ func (n *Network) admit(f *Flow) {
 	}
 	n.requests++
 	n.settle(now)
-	if tag != nil && n.aggregate {
+	if tag != nil && !n.plain {
 		// Join the tag's group if this admission is exactly a repeat of
 		// the group's: same instant, same path slice, same size, and —
 		// load-bearing for byte identity — no foreign admission in
@@ -836,9 +794,9 @@ func (n *Network) flush() {
 // so every rate — and every golden downstream of one — is
 // bit-identical.
 func (n *Network) reallocate(now sim.Time) {
-	if n.fastForward && n.ffValid && n.stalled == 0 && n.ffStable() {
+	if !n.plain && n.ffValid && n.stalled == 0 && n.ffStable() {
 		if n.trigMask == trigComplete {
-			n.ffPass(now)
+			n.ffPass(now, nil)
 			n.passDone()
 			return
 		}
@@ -860,35 +818,20 @@ func (n *Network) reallocate(now sim.Time) {
 		n.frozenCount = make([]int32, len(n.channels))
 		n.chTouched = make([]uint64, len(n.channels))
 		n.frozenList = n.frozenList[:0]
-		n.ffValid = false
 	}
 	pf, pr, pb := n.fill(n.flows)
-	if n.fastForward {
-		// Record which channel froze each entry: the steady-state skip
-		// is legal only while completions depart channels nobody
-		// surviving was frozen on. Rebuilt from scratch every full pass.
-		for _, id := range n.frozenList {
-			n.frozenCount[id] = 0
-		}
-		n.frozenList = n.frozenList[:0]
-		n.stalled = 0
-		for i, f := range pf {
-			if pr[i] <= 0 {
-				n.stalled++
-				f.bneck = -1
-				continue
-			}
-			b := pb[i]
-			f.bneck = b
-			if n.frozenCount[b] == 0 {
-				n.frozenList = append(n.frozenList, b)
-			}
-			n.frozenCount[b]++
-		}
-		n.ffValid = true
-	} else {
-		n.ffValid = false
+	// Record which channel froze each entry: the steady-state skip is
+	// legal only while completions depart channels nobody surviving was
+	// frozen on. Rebuilt from scratch every full pass.
+	for _, id := range n.frozenList {
+		n.frozenCount[id] = 0
 	}
+	n.frozenList = n.frozenList[:0]
+	n.stalled = 0
+	for i, f := range pf {
+		n.freeze(f, pr[i], pb[i])
+	}
+	n.ffValid = true
 	// Fold per-channel utilization accounting. A channel with no live
 	// flows and a zero current rate is skipped outright: folding it
 	// would add rate*dt = 0 to the integral and re-store a zero rate,
@@ -897,20 +840,11 @@ func (n *Network) reallocate(now sim.Time) {
 	// visited so one that just went idle stops accumulating busy time.
 	// Summation order is the channel's active list in admission order —
 	// the same order the eager implementation summed — so the folded
-	// integrals are bit-identical. With fast-forward on, the fold walks
-	// the maintained non-idle channel list instead of every channel;
-	// the skipped channels are exactly those the full scan skips, and
-	// channels are independent, so the result is unchanged.
-	if n.fastForward {
-		n.foldActive(now)
-		return
-	}
-	for _, c := range n.channels {
-		if c.live == 0 && c.currentRate == 0 {
-			continue
-		}
-		c.account(now, channelRate(c))
-	}
+	// integrals are bit-identical. The fold walks the maintained
+	// non-idle channel list instead of every channel; the channels it
+	// leaves out are exactly those the skip condition would pass over,
+	// and channels are independent, so the result is unchanged.
+	n.fold(now, 0)
 }
 
 // fill runs one progressive filling over the given entries (admission
@@ -1103,8 +1037,6 @@ func (n *Network) entrantsDisjoint() bool {
 // Completions in the same window are covered by the ffStable guard,
 // as in ffPass.
 func (n *Network) ffAdmitPass(now sim.Time) {
-	n.passes++
-	n.ffPasses++
 	n.ffAdmits++
 	if len(n.instAdmits) == 1 {
 		// Singleton burst — one entry, alone on its channels: filling
@@ -1123,30 +1055,22 @@ func (n *Network) ffAdmitPass(now sim.Time) {
 			}
 		}
 		f.rate = share
-		n.freezeEntrant(f, share, bneck)
+		n.freeze(f, share, bneck)
 	} else {
 		n.epoch++
 		pf, pr, pb := n.fill(n.instAdmits)
 		// The entrants extend the last full pass's freeze bookkeeping
 		// incrementally; survivors' entries are untouched.
 		for i, f := range pf {
-			n.freezeEntrant(f, pr[i], pb[i])
+			n.freeze(f, pr[i], pb[i])
 		}
 	}
-	n.ffEpoch++
-	ep := n.ffEpoch
-	for _, id := range n.ffPaths {
-		n.chTouched[id] = ep
-	}
-	for _, id := range n.entrantIDs {
-		n.chTouched[id] = ep
-	}
-	n.ffFold(now, ep)
+	n.ffPass(now, n.entrantIDs)
 }
 
-// freezeEntrant extends the last full pass's freeze bookkeeping with
-// one rated entrant (rate <= 0 means stalled, as in the full pass).
-func (n *Network) freezeEntrant(f *Flow, rate float64, bneck int32) {
+// freeze records which channel froze one rated entry, the bookkeeping
+// the steady-state skip checks (rate <= 0 means stalled).
+func (n *Network) freeze(f *Flow, rate float64, bneck int32) {
 	if rate <= 0 {
 		n.stalled++
 		f.bneck = -1
@@ -1180,32 +1104,6 @@ func channelRate(c *Channel) float64 {
 	return rate
 }
 
-// foldActive is the utilization fold over the maintained non-idle
-// channel list. A channel leaves the list exactly when the full scan's
-// skip condition first holds for it (no live flows, zero folded rate);
-// it re-enters on the next admission that crosses it. Idle-at-entry
-// channels are dropped without accounting — the same no-op the full
-// scan's skip is.
-func (n *Network) foldActive(now sim.Time) {
-	keep := n.activeCh[:0]
-	for _, c := range n.activeCh {
-		if c.live == 0 && c.currentRate == 0 {
-			c.inActive = false
-			continue
-		}
-		c.account(now, channelRate(c))
-		if c.live == 0 && c.currentRate == 0 {
-			c.inActive = false
-			continue
-		}
-		keep = append(keep, c)
-	}
-	for i := len(keep); i < len(n.activeCh); i++ {
-		n.activeCh[i] = nil
-	}
-	n.activeCh = keep
-}
-
 // ffStable reports whether no surviving entry was frozen on any
 // channel of the paths completed since the last pass. Combined with
 // completion-only triggers and no stalled entries, this proves every
@@ -1222,13 +1120,12 @@ func (n *Network) ffStable() bool {
 	return true
 }
 
-// ffPass is the steady-state fast-forward: the allocation is provably
-// the last full pass's, so only the utilization fold runs. Channels
-// untouched by the departed flows keep their cached folded rate — a
-// re-sum would add the identical float64 summands in the identical
-// order — and channels on the departed paths are re-summed from their
-// active lists.
-func (n *Network) ffPass(now sim.Time) {
+// ffPass is the steady-state fast-forward: the surviving allocation is
+// provably the last full pass's, so only the utilization fold runs.
+// Channels on the departed paths, plus the extra channels an entrant
+// burst rated (ffAdmitPass), are re-summed from their active lists;
+// every other channel keeps its cached folded rate.
+func (n *Network) ffPass(now sim.Time, extra []int32) {
 	n.passes++
 	n.ffPasses++
 	n.ffEpoch++
@@ -1236,14 +1133,22 @@ func (n *Network) ffPass(now sim.Time) {
 	for _, id := range n.ffPaths {
 		n.chTouched[id] = ep
 	}
-	n.ffFold(now, ep)
+	for _, id := range extra {
+		n.chTouched[id] = ep
+	}
+	n.fold(now, ep)
 }
 
-// ffFold is the fast-forward utilization fold: channels stamped with
-// the current touch epoch re-sum their active lists; the rest keep
-// their cached folded rate (a re-sum would add the identical float64
-// summands in the identical order).
-func (n *Network) ffFold(now sim.Time, ep uint64) {
+// fold is the utilization fold over the maintained non-idle channel
+// list. A channel leaves the list exactly when the skip condition
+// first holds for it (no live flows, zero folded rate); it re-enters
+// on the next admission that crosses it. Idle-at-entry channels are
+// dropped without accounting, the same no-op the skip is. A full pass
+// (ep == 0) re-sums every listed channel. A fast-forwarded pass
+// re-sums only the channels stamped with its touch epoch; the rest
+// keep their cached folded rate, because a re-sum would add the
+// identical float64 summands in the identical order.
+func (n *Network) fold(now sim.Time, ep uint64) {
 	keep := n.activeCh[:0]
 	for _, c := range n.activeCh {
 		if c.live == 0 && c.currentRate == 0 {
@@ -1251,7 +1156,7 @@ func (n *Network) ffFold(now sim.Time, ep uint64) {
 			continue
 		}
 		rate := c.currentRate
-		if n.chTouched[c.id] == ep {
+		if ep == 0 || n.chTouched[c.id] == ep {
 			rate = channelRate(c)
 		}
 		c.account(now, rate)
@@ -1287,13 +1192,13 @@ func (n *Network) scheduleCompletions(now sim.Time) {
 		}
 		r := rank
 		rank += uint64(f.mult) // a group entry owns one rank per member
-		if f.rate <= 0 {
+		secs := f.remaining / f.rate
+		if f.rate <= 0 || secs >= maxDeadlineSecs {
 			if f.done != nil && !f.done.Cancelled() {
 				n.eng.Cancel(f.done)
 			}
 			continue // revived by the flush after the next change
 		}
-		secs := f.remaining / f.rate
 		target := now + sim.Time(math.Ceil(secs*1e9))
 		if target < floor {
 			floor = target
@@ -1368,12 +1273,10 @@ func (n *Network) completeMember(f *Flow, j int) {
 		c.bytesCarried += f.size
 		c.live--
 	}
-	if n.fastForward {
-		// The member's departure invalidates cached allocations along its
-		// path unless no survivor was frozen there; record the path for
-		// the skip check regardless of whether the entry is drained.
-		n.ffPaths = append(n.ffPaths, f.pathIDs...)
-	}
+	// The member's departure invalidates cached allocations along its
+	// path unless no survivor was frozen there; record the path for the
+	// skip check regardless of whether the entry is drained.
+	n.ffPaths = append(n.ffPaths, f.pathIDs...)
 	n.trigMask |= trigComplete
 	if f.mult == 0 {
 		if n.groupObs != nil && len(f.dones) > 1 {

@@ -18,6 +18,15 @@ func newNet() (*sim.Engine, *Network) {
 	return eng, NewNetwork(eng)
 }
 
+// newNetPath is newNet on the production path or, with plain set, on
+// the plain full filling pass (no tagged-fan joins, no fast-forward
+// skip) that the accelerations must match bit for bit.
+func newNetPath(plain bool) (*sim.Engine, *Network) {
+	eng, net := newNet()
+	net.plain = plain
+	return eng, net
+}
+
 func TestSingleFlowFullBandwidth(t *testing.T) {
 	eng, net := newNet()
 	l := net.NewLink("pcie", 10*gib, 10*gib, 0)

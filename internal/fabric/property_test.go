@@ -45,14 +45,15 @@ type propFlow struct {
 	size float64
 }
 
-// buildPropCase generates the scenario for one seed; onEvent fires
-// after every admission, completion and capacity change. Everything —
+// buildPropCase generates the scenario for one seed, on the plain path
+// if plain is set; onEvent fires after every admission, completion and
+// capacity change. Everything —
 // link count, capacities, latencies, paths, sizes, offsets, capacity
 // changes — derives from the seeded rng, so a failure report's seed
 // reproduces the exact case.
-func buildPropCase(rng *rand.Rand, onEvent func(where string)) *propCase {
-	eng := sim.NewEngine()
-	pc := &propCase{eng: eng, net: NewNetwork(eng)}
+func buildPropCase(rng *rand.Rand, plain bool, onEvent func(where string)) *propCase {
+	eng, net := newNetPath(plain)
+	pc := &propCase{eng: eng, net: net}
 	nLinks := 1 + rng.Intn(8)
 	links := make([]*Link, nLinks)
 	for i := range links {
@@ -184,23 +185,31 @@ func (pc *propCase) checkConservation(t *testing.T, seed int) {
 // TestMaxMinProperties drives ~200 seeded random scenarios and checks
 // the allocator invariants at every admission, completion and capacity
 // change, at eight random probe instants per scenario, and once after
-// the schedule drains (followed by the conservation check).
+// the schedule drains (followed by the conservation check). It runs on
+// both the production path and the plain path.
 func TestMaxMinProperties(t *testing.T) {
-	for seed := 0; seed < 200; seed++ {
-		var pc *propCase
-		pc = buildPropCase(rand.New(rand.NewSource(int64(seed)+1)), func(where string) {
-			pc.checkAllocation(t, seed, where)
+	for _, mode := range []struct {
+		name  string
+		plain bool
+	}{{"production", false}, {"plain", true}} {
+		t.Run(mode.name, func(t *testing.T) {
+			for seed := 0; seed < 200; seed++ {
+				var pc *propCase
+				pc = buildPropCase(rand.New(rand.NewSource(int64(seed)+1)), mode.plain, func(where string) {
+					pc.checkAllocation(t, seed, where)
+				})
+				rng := rand.New(rand.NewSource(int64(seed) * 977))
+				for i := 0; i < 8; i++ {
+					at := sim.Time(rng.Intn(20_000_000))
+					pc.eng.Schedule(at, func() { pc.checkAllocation(t, seed, "probe") })
+				}
+				pc.eng.Run()
+				pc.checkAllocation(t, seed, "drained")
+				pc.checkConservation(t, seed)
+				if t.Failed() {
+					t.Fatalf("seed %d: stopping at first failing scenario", seed)
+				}
+			}
 		})
-		rng := rand.New(rand.NewSource(int64(seed) * 977))
-		for i := 0; i < 8; i++ {
-			at := sim.Time(rng.Intn(20_000_000))
-			pc.eng.Schedule(at, func() { pc.checkAllocation(t, seed, "probe") })
-		}
-		pc.eng.Run()
-		pc.checkAllocation(t, seed, "drained")
-		pc.checkConservation(t, seed)
-		if t.Failed() {
-			t.Fatalf("seed %d: stopping at first failing scenario", seed)
-		}
 	}
 }

@@ -146,16 +146,6 @@ type Config struct {
 	// supplies the value when the config leaves it zero, so CI can
 	// force partitioning across an existing test suite.
 	PartitionParallel int
-	// FlowAggregation forces symmetric-fan aggregation on for this
-	// run's fabric (fabric.Network.EnableFlowAggregation); false leaves
-	// the COARSE_FLOW_AGG environment default in place, so existing
-	// suites can opt whole processes in without config changes.
-	// Aggregation is byte-exact either way.
-	FlowAggregation bool
-	// FastForward forces the steady-state reallocation skip on
-	// (fabric.Network.EnableFastForward); false leaves the
-	// COARSE_FASTFORWARD environment default. Byte-exact either way.
-	FastForward bool
 	// Layout shards the model across the workers: pipeline stages (PP)
 	// driven on a microbatched 1F1B schedule, tensor-parallel splits
 	// (TP) with per-layer activation all-reduces inside the TP group,
@@ -554,14 +544,6 @@ func New(cfg Config, strat Strategy) (*Trainer, error) {
 	// hop, so racks cannot observe each other within a window. With
 	// partitioning off, Sched degrades to the plain engine API and the
 	// run is the historical sequential one, byte for byte.
-	// Scale accelerations: config force-enables ride on top of the
-	// process-wide environment defaults NewNetwork already applied.
-	if cfg.FlowAggregation {
-		machine.Net.EnableFlowAggregation(true)
-	}
-	if cfg.FastForward {
-		machine.Net.EnableFastForward(true)
-	}
 	par := cfg.PartitionParallel
 	if par == 0 {
 		if v, err := strconv.Atoi(os.Getenv(envPartition)); err == nil {
