@@ -13,7 +13,9 @@ import (
 //   - incast: many same-instant flows onto one bottleneck channel (an
 //     all-reduce reduce step, a parameter-server pull storm);
 //   - all-to-all: every endpoint pair crossing a shared switch, the
-//     collective traffic pattern with the largest reshare fan-out;
+//     collective traffic pattern with the largest reshare fan-out, and
+//     its two-tier variant, whose passes run many filling rounds (an
+//     expert-parallel exchange across leaf switches);
 //   - capacity flap: SetLinkCapacity storms under long-lived flows,
 //     the dynamic re-profiling path.
 //
@@ -82,6 +84,47 @@ func BenchmarkFabricAllToAll16(b *testing.B) {
 				}
 				path := []*Channel{links[s].Fwd(), links[d].Rev()}
 				net.StartFlow(path, float64((1+(s+d)%7)*mib), func() { completed++ })
+			}
+		}
+		eng.Run()
+		if completed != n*(n-1) {
+			b.Fatalf("completed %d of %d flows", completed, n*(n-1))
+		}
+	}
+}
+
+// BenchmarkFabricAllToAllTiered runs a 24-endpoint all-to-all over a
+// two-tier tree: three leaves of eight, each leaf's uplink
+// oversubscribed 2:1, endpoint links of five different speeds. Pairs
+// across leaves cross both uplinks, and sizes vary by pair, so most
+// passes run dozens of filling rounds over up to 1,872 hops: the
+// regime the channel index targets.
+func BenchmarkFabricAllToAllTiered(b *testing.B) {
+	const n, leaf = 24, 8
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		eng := sim.NewEngine()
+		net := NewNetwork(eng)
+		edge := make([]*Link, n)
+		for j := range edge {
+			c := float64(8+j%5) * gib
+			edge[j] = net.NewLink("edge", c, c, 0)
+		}
+		up := make([]*Link, n/leaf)
+		for j := range up {
+			up[j] = net.NewLink("uplink", leaf*12*gib/2, leaf*12*gib/2, 0)
+		}
+		completed := 0
+		for s := 0; s < n; s++ {
+			for d := 0; d < n; d++ {
+				if s == d {
+					continue
+				}
+				path := []*Channel{edge[s].Fwd(), edge[d].Rev()}
+				if s/leaf != d/leaf {
+					path = []*Channel{edge[s].Fwd(), up[s/leaf].Fwd(), up[d/leaf].Rev(), edge[d].Rev()}
+				}
+				net.StartFlow(path, float64((1+(7*s+d)%5)*mib), func() { completed++ })
 			}
 		}
 		eng.Run()

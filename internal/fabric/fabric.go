@@ -21,20 +21,40 @@
 // state is exactly what the eager per-trigger implementation produced,
 // while N same-instant triggers pay for one pass instead of N.
 //
-// The pass itself allocates nothing and walks contiguous memory:
-// per-channel progressive-filling scratch lives in struct-of-arrays
-// owned by the Network, indexed by dense channel id and stamped with a
-// reshare epoch so stale scratch is ignored without clearing. Live
-// flows are gathered once per pass into parallel rate/path-id arrays,
-// and the progressive-filling rounds walk an admission-ordered
-// worklist of still-unassigned flows, so the inner loops touch int32
-// channel ids and flat float64 arrays instead of chasing Flow and
-// Channel pointers. Completion events are
-// re-examined once per dirty instant but only moved when the flow's
-// completion instant actually changed (an exact integer-nanosecond
-// comparison), and finished flows leave the per-channel active lists
-// by tombstone + amortized compaction so completion cost no longer
-// scales with the number of concurrent flows on every hop.
+// The pass itself allocates nothing in steady state and walks
+// contiguous memory: per-channel progressive-filling scratch lives in
+// struct-of-arrays owned by the Network, indexed by dense channel id
+// and stamped with a reshare epoch so stale scratch is ignored without
+// clearing. Live flows are gathered once per pass into parallel
+// rate/path-id arrays, so the inner loops touch int32 channel ids and
+// flat float64 arrays instead of chasing Flow and Channel pointers.
+//
+// The filling rounds run in one of two phases. A short pass rescans
+// an admission-ordered worklist of still-unassigned flows every round,
+// which costs nothing to set up. A pass still running after
+// indexMinRounds rounds, with at least indexMinHops hops unassigned,
+// hands its worklist to a channel index: each path position links to
+// the next position on the same channel, and each live channel caches
+// its fair share and its key, the first position it holds on an
+// unassigned flow. A round then takes the least (share, key) in one
+// scan of the live channels, walks only the bottleneck's positions,
+// and refreshes only the channels the frozen flows cross, so passes
+// that run dozens of rounds (an expert-parallel all-to-all across leaf
+// switches) stop rediscovering bottlenecks earlier rounds already
+// found. The index is exact, not approximate: keys order channels as
+// the rescan first meets them, so a tie on an exactly equal share
+// breaks as the rescan's strict < does; flows are charged with the
+// same float operations in the same order; and a channel no frozen
+// flow crosses keeps bitwise the residual and count its cached share
+// was divided from. The hand-off thresholds are measured crossovers
+// (see indexMinRounds).
+//
+// Completion events are re-examined once per dirty instant but only
+// moved when the flow's completion instant actually changed (an exact
+// integer-nanosecond comparison), and finished flows leave the
+// per-channel active lists by tombstone + amortized compaction so
+// completion cost no longer scales with the number of concurrent flows
+// on every hop.
 //
 // Determinism is byte-exact with respect to the historical eager
 // implementation, which cancelled and re-created every completion
@@ -104,6 +124,7 @@ package fabric
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"coarse/internal/sim"
@@ -358,6 +379,24 @@ type Network struct {
 
 	passBneck []int32 // per-gathered-flow freezing channel, full pass scratch
 
+	// Channel index of a long pass (fillIndexed): per path position,
+	// its entry and its channel's next position; per live channel slot,
+	// the channel, its cached share and its key; the channels a round
+	// touched. Per dense channel id: its slot, and its last position
+	// while the index is built.
+	idxOcc        []occ
+	idxCh         []int32
+	idxShare      []float64
+	idxKey        []int32
+	idxTouched    []int32
+	chSlot        []int32
+	chTail        []int32
+	indexedPasses uint64 // filling passes finished on the channel index
+
+	// fillMode pins fill to one phase. Only the package tests set it,
+	// to compare the two; production leaves it at fillAuto.
+	fillMode int8
+
 	flowPool []*Flow // recycled ephemeral flows
 }
 
@@ -367,6 +406,36 @@ const (
 	trigComplete
 	trigCapacity
 )
+
+// Filling phases selectable through Network.fillMode.
+const (
+	fillAuto    int8 = iota // rescan, handing long passes to the index
+	fillRescan              // rescan every round
+	fillIndexed             // build the index before the first round
+)
+
+// A filling pass hands its worklist from the rescan to the channel
+// index when, after indexMinRounds rounds, at least indexMinHops hops
+// are still unassigned. Building the index costs about as much as a
+// few rescan rounds, so it pays only on passes that go on for many
+// more, and pass length alone does not predict that. Measured on a
+// 2-vCPU x86-64 host by timing both phases on every pass of the
+// end-to-end benchmark: with the index from the first round,
+// expert-parallel passes of ~750 hops and ~60 rounds took 43% less
+// time, but rack-scale passes of 3,600-6,000 hops that finish in 9-15
+// rounds took 9-19% more. Handing off after two rounds still cost
+// those 5-10%; after four they took 1-4% less, and the expert-parallel
+// passes kept their gain; after eight they gave back a sixth of it.
+// Without the hop floor, passes of 50-130 hops that outlast four
+// rounds took 8-12% more on the index.
+const (
+	indexMinRounds = 4
+	indexMinHops   = 256
+)
+
+// occ is one path position in the channel index: the gathered entry
+// that holds it and the next position on the same channel (-1: none).
+type occ struct{ owner, next int32 }
 
 // maxFlowPool bounds the network's flow free-list.
 const maxFlowPool = 4096
@@ -787,12 +856,11 @@ func (n *Network) flush() {
 // The pass runs entirely on struct-of-arrays scratch: live flows are
 // gathered once (admission order) into parallel rate / path-id arrays,
 // channel residual and unassigned counts live in dense-id-indexed
-// arrays on the Network, and each filling round walks an
-// admission-ordered worklist of still-unassigned flow indices. Scan
-// order, float operation order, and the strict `<` bottleneck
-// tie-break are exactly those of the pointer-walking implementation,
-// so every rate — and every golden downstream of one — is
-// bit-identical.
+// arrays on the Network, and the filling rounds run in fill's two
+// phases. Scan order, float operation order, and the strict `<`
+// bottleneck tie-break are exactly those of the pointer-walking
+// implementation, so every rate — and every golden downstream of one —
+// is bit-identical.
 func (n *Network) reallocate(now sim.Time) {
 	if !n.plain && n.ffValid && n.stalled == 0 && n.ffStable() {
 		if n.trigMask == trigComplete {
@@ -852,7 +920,8 @@ func (n *Network) reallocate(now sim.Time) {
 // the full pass (every live flow) and of the admission fast-forward
 // (only the instant's entrant burst): per-channel scratch is
 // epoch-stamped on first touch, so filling a subset performs exactly
-// the subset's operations. Returns the gathered entries with their
+// the subset's operations. The rounds start on fillRescan, which hands
+// a long pass to fillIndexed. Returns the gathered entries with their
 // parallel rate and freezing-channel arrays (channel -1 = stalled).
 func (n *Network) fill(src []*Flow) ([]*Flow, []float64, []int32) {
 	ep := n.epoch
@@ -884,11 +953,41 @@ func (n *Network) fill(src []*Flow) ([]*Flow, []float64, []int32) {
 		}
 	}
 	off = append(off, int32(len(pp)))
+	n.passFlows, n.passRate, n.passBneck, n.passOff, n.passPath = pf, pr, pb, off, pp
+	n.fillRescan()
+	for i, f := range pf {
+		if pr[i] < 0 {
+			pr[i] = 0 // stalled: no residual capacity anywhere on its path
+		}
+		f.rate = pr[i]
+	}
+	return pf, pr, pb
+}
+
+// fillRescan runs the filling rounds over an admission-ordered
+// worklist of still-unassigned entries, rescanning their paths twice
+// per round: once for the bottleneck, once for who crosses it. It
+// costs nothing to set up, which wins while a pass is short; a long
+// one hands its worklist to fillIndexed (see indexMinRounds).
+func (n *Network) fillRescan() {
+	off, pp := n.passOff, n.passPath
 	work := n.passWork[:0]
-	for i := range pf {
+	for i := range n.passFlows {
 		work = append(work, int32(i))
 	}
-	for len(work) > 0 {
+	hops := len(pp) // on the worklist
+	handoff, minHops := indexMinRounds, indexMinHops
+	switch n.fillMode {
+	case fillRescan:
+		handoff = -1
+	case fillIndexed:
+		handoff, minHops = 0, 0
+	}
+	for r := 0; len(work) > 0; r++ {
+		if r == handoff && hops >= minHops {
+			n.fillIndexed(work)
+			break
+		}
 		// Find the bottleneck: the channel with the smallest fair share.
 		// Deterministic order: unassigned flows (admission order), then
 		// their paths hop by hop. A channel's share is constant within
@@ -921,10 +1020,7 @@ func (n *Network) fill(src []*Flow) ([]*Flow, []float64, []int32) {
 			break
 		}
 		// Every unassigned flow crossing the bottleneck gets the share;
-		// the rest stay on the worklist, order preserved. A group entry
-		// charges its channels once per member by repeated subtraction —
-		// residual - m*share would round differently; m sequential
-		// clamped subtractions are bitwise what m member entries do.
+		// the rest stay on the worklist, order preserved.
 		rest := work[:0]
 		for _, i := range work {
 			crosses := false
@@ -938,45 +1034,145 @@ func (n *Network) fill(src []*Flow) ([]*Flow, []float64, []int32) {
 				rest = append(rest, i)
 				continue
 			}
-			pr[i] = share
-			pb[i] = bneck
-			if m := pf[i].mult; m == 1 {
-				for _, id := range pp[off[i]:off[i+1]] {
-					n.chResidual[id] -= share
-					if n.chResidual[id] < 0 {
-						n.chResidual[id] = 0
-					}
-					n.chUnassigned[id]--
-				}
-			} else {
-				for _, id := range pp[off[i]:off[i+1]] {
-					r := n.chResidual[id]
-					for j := 0; j < m; j++ {
-						r -= share
-						if r < 0 {
-							r = 0
-						}
-					}
-					n.chResidual[id] = r
-					n.chUnassigned[id] -= int32(m)
-				}
-			}
+			n.charge(i, share, bneck)
+			hops -= int(off[i+1] - off[i])
 		}
 		work = rest
 	}
-	for i, f := range pf {
-		if pr[i] < 0 {
-			pr[i] = 0 // stalled: no residual capacity anywhere on its path
-		}
-		f.rate = pr[i]
-	}
-	n.passFlows = pf
-	n.passRate = pr
-	n.passBneck = pb
-	n.passOff = off
-	n.passPath = pp
 	n.passWork = work[:0]
-	return pf, pr, pb
+}
+
+// fillIndexed finishes the filling rounds for the worklist's entries
+// over a channel index, so a round costs one scan of the live channels
+// plus the work its bottleneck causes, instead of a rescan of every
+// unassigned path. Each path position links to its channel's next
+// position, and each live channel (one with unassigned entries) caches
+// its share and its key: the first path position it holds on a
+// still-unassigned entry. A round picks the least (share, key), walks
+// only the bottleneck's positions from its key on, and refreshes only
+// the channels the assigned entries cross; drained channels are
+// swap-removed.
+//
+// The results are bitwise fillRescan's. Keys order channels exactly as
+// the rescan first meets them (admission order, then hop order), so a
+// tie on an exactly equal share goes to the channel the rescan's
+// strict < would keep. Entries are charged in the same admission order
+// with the same subtractions. A channel no assigned entry crosses keeps
+// bitwise its residual and unassigned count, so its cached share and
+// key are the ones a rescan would compute.
+func (n *Network) fillIndexed(work []int32) {
+	n.indexedPasses++
+	if len(n.chSlot) < len(n.channels) {
+		// Sized on first use: most networks never run a pass this long.
+		n.chSlot = make([]int32, len(n.channels))
+		n.chTail = make([]int32, len(n.channels))
+	}
+	pr, off, pp := n.passRate, n.passOff, n.passPath
+	// By path position; those assigned before the hand-off stay unused.
+	oc := slices.Grow(n.idxOcc[:0], len(pp))[:len(pp)]
+	lc, ls, lk := n.idxCh[:0], n.idxShare[:0], n.idxKey[:0]
+	n.roundSeq++
+	seen := n.roundSeq
+	for _, i := range work {
+		for p := off[i]; p < off[i+1]; p++ {
+			id := pp[p]
+			oc[p] = occ{owner: i, next: -1}
+			if n.chRound[id] != seen {
+				n.chRound[id] = seen
+				lc = append(lc, id)
+				lk = append(lk, p)
+			} else {
+				oc[n.chTail[id]].next = p
+			}
+			n.chTail[id] = p
+		}
+	}
+	for j, id := range lc {
+		n.chSlot[id] = int32(j)
+		ls = append(ls, n.chResidual[id]/float64(n.chUnassigned[id]))
+	}
+	touched := n.idxTouched[:0]
+	for len(lc) > 0 {
+		// The least (share, key). Key -1 admits no tie, so an infinite
+		// share never wins, as under the rescan's strict <.
+		bj := -1
+		share := math.Inf(1)
+		key := int32(-1)
+		for j, s := range ls {
+			if s < share || s == share && lk[j] < key {
+				share, key, bj = s, lk[j], j
+			}
+		}
+		if bj < 0 {
+			break
+		}
+		bneck := lc[bj]
+		n.roundSeq++
+		round := n.roundSeq
+		touched = touched[:0]
+		for p := key; p >= 0; p = oc[p].next {
+			i := oc[p].owner
+			if pr[i] >= 0 {
+				continue // assigned in an earlier round, or crosses twice
+			}
+			n.charge(i, share, bneck)
+			for _, id := range pp[off[i]:off[i+1]] {
+				if n.chRound[id] != round {
+					n.chRound[id] = round
+					touched = append(touched, id)
+				}
+			}
+		}
+		for _, id := range touched {
+			j := n.chSlot[id]
+			if n.chUnassigned[id] == 0 {
+				last := int32(len(lc) - 1)
+				lc[j], ls[j], lk[j] = lc[last], ls[last], lk[last]
+				n.chSlot[lc[j]] = j
+				lc, ls, lk = lc[:last], ls[:last], lk[:last]
+				continue
+			}
+			ls[j] = n.chResidual[id] / float64(n.chUnassigned[id])
+			p := lk[j]
+			for pr[oc[p].owner] >= 0 {
+				p = oc[p].next
+			}
+			lk[j] = p
+		}
+	}
+	n.idxOcc, n.idxCh, n.idxShare, n.idxKey, n.idxTouched = oc, lc, ls, lk, touched
+}
+
+// charge gives gathered entry i the round's share, frozen at bneck, and
+// subtracts it along the entry's path. A group entry charges its
+// channels once per member by repeated subtraction — residual -
+// m*share would round differently; m sequential clamped subtractions
+// are bitwise what m member entries do.
+func (n *Network) charge(i int32, share float64, bneck int32) {
+	n.passRate[i] = share
+	n.passBneck[i] = bneck
+	path := n.passPath[n.passOff[i]:n.passOff[i+1]]
+	if m := n.passFlows[i].mult; m == 1 {
+		for _, id := range path {
+			n.chResidual[id] -= share
+			if n.chResidual[id] < 0 {
+				n.chResidual[id] = 0
+			}
+			n.chUnassigned[id]--
+		}
+	} else {
+		for _, id := range path {
+			r := n.chResidual[id]
+			for j := 0; j < m; j++ {
+				r -= share
+				if r < 0 {
+					r = 0
+				}
+			}
+			n.chResidual[id] = r
+			n.chUnassigned[id] -= int32(m)
+		}
+	}
 }
 
 // passDone closes the trigger window: every pass — full or

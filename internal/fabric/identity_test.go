@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"coarse/internal/sim"
@@ -115,6 +116,15 @@ func genIDScenario(rng *rand.Rand) *idScenario {
 	return sc
 }
 
+// idMode selects how a scenario is replayed: on the plain path or the
+// production path, with fill pinned to one phase or left to the
+// hand-off, and with or without a snapshot after every trigger.
+type idMode struct {
+	plain bool
+	fill  int8 // fillAuto, fillRescan or fillIndexed
+	snap  bool
+}
+
 // idObs is everything one replay exposes.
 type idObs struct {
 	done     []sim.Time // per transfer, completion instant
@@ -125,11 +135,43 @@ type idObs struct {
 	reshares uint64
 	requests uint64
 
-	aggregated, ffPasses uint64
+	aggregated, ffPasses, indexed uint64
+
+	// With idMode.snap: a hash of every live entry's rate and freezing
+	// channel and of the last fill's rate and passBneck arrays, taken
+	// after every admission burst, completion and capacity change.
+	snaps        []uint64
+	keyTies      int // entries a tie on an exactly equal share froze
+	stalled      int // entries an indexed fill left at rate 0
+	entrantFills int // entrant fast-forwards that filled on the index
 }
 
-func (sc *idScenario) play(plain bool) *idObs {
-	eng, net := newNetPath(plain)
+func (sc *idScenario) play(mode idMode) *idObs {
+	eng, net := newNetPath(mode.plain)
+	net.fillMode = mode.fill
+	obs := &idObs{}
+	snap := func() {}
+	if mode.snap {
+		var lastFill, lastFull uint64
+		snap = func() {
+			net.Flush()
+			obs.snaps = append(obs.snaps, passHash(net))
+			full := net.passes - net.ffPasses
+			if net.indexedPasses-lastFill > full-lastFull {
+				obs.entrantFills++ // an indexed fill that was no full pass
+			}
+			lastFull = full
+			if net.indexedPasses != lastFill {
+				lastFill = net.indexedPasses
+				obs.keyTies += keyTies(net)
+				for _, r := range net.passRate {
+					if r == 0 {
+						obs.stalled++
+					}
+				}
+			}
+		}
+	}
 	var links []*Link
 	var chans []*Channel
 	for i, l := range sc.links {
@@ -142,11 +184,11 @@ func (sc *idScenario) play(plain bool) *idObs {
 			routes[i] = append(routes[i], chans[c])
 		}
 	}
-	obs := &idObs{}
 	for _, e := range sc.emits {
 		e := e
 		eng.Schedule(e.at, func() {
 			tag := new(AggTag)
+			var admitAt []sim.Time // distinct admission delays, first-seen order
 			for _, it := range e.items {
 				path := routes[it.route]
 				if it.flush {
@@ -158,6 +200,10 @@ func (sc *idScenario) play(plain bool) *idObs {
 				onDone := func() {
 					obs.done[idx] = eng.Now()
 					obs.order = append(obs.order, idx)
+					snap()
+				}
+				if lat := PathLatency(path); !slices.Contains(admitAt, lat) {
+					admitAt = append(admitAt, lat)
 				}
 				if it.tag {
 					net.StartEphemeralTagged(tag, path, it.size, onDone)
@@ -165,11 +211,21 @@ func (sc *idScenario) play(plain bool) *idObs {
 					net.StartEphemeral(path, it.size, onDone)
 				}
 			}
+			if mode.snap {
+				// One snapshot after each admission instant's burst, so
+				// the burst still reaches its pass whole.
+				for _, lat := range admitAt {
+					eng.Schedule(lat, snap)
+				}
+			}
 		})
 	}
 	for _, c := range sc.caps {
 		c := c
-		eng.Schedule(c.at, func() { net.SetLinkCapacity(links[c.link], c.fwd, c.rev) })
+		eng.Schedule(c.at, func() {
+			net.SetLinkCapacity(links[c.link], c.fwd, c.rev)
+			snap()
+		})
 	}
 	for _, at := range sc.probes {
 		eng.Schedule(at, func() {
@@ -187,6 +243,7 @@ func (sc *idScenario) play(plain bool) *idObs {
 	obs.requests = net.ReshareRequests()
 	obs.aggregated = net.FlowsAggregated()
 	obs.ffPasses = net.FastForwardPasses()
+	obs.indexed = net.indexedPasses
 	return obs
 }
 
@@ -203,53 +260,77 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
+// diffObs describes the first observable in which two replays differ,
+// or returns "" when they are bitwise identical.
+func diffObs(want, got *idObs) string {
+	switch {
+	case fmt.Sprint(want.done) != fmt.Sprint(got.done):
+		return fmt.Sprintf("completion instants differ\nwant %v\ngot  %v", want.done, got.done)
+	case fmt.Sprint(want.order) != fmt.Sprint(got.order):
+		return fmt.Sprintf("completion order differs\nwant %v\ngot  %v", want.order, got.order)
+	case !sameBits(want.carried, got.carried):
+		return fmt.Sprintf("BytesCarried differs\nwant %v\ngot  %v", want.carried, got.carried)
+	case !sameBits(want.integ, got.integ):
+		return fmt.Sprintf("IntegratedBytes differs\nwant %v\ngot  %v", want.integ, got.integ)
+	case !sameBits(want.rates, got.rates):
+		return "probed channel rates differ"
+	case want.reshares != got.reshares || want.requests != got.requests:
+		return fmt.Sprintf("Reshares %d/%d requests %d/%d (want/got)",
+			want.reshares, got.reshares, want.requests, got.requests)
+	}
+	for i := range want.snaps {
+		if i >= len(got.snaps) || want.snaps[i] != got.snaps[i] {
+			return fmt.Sprintf("rates or freezing channels differ at snapshot %d of %d", i, len(want.snaps))
+		}
+	}
+	if len(got.snaps) != len(want.snaps) {
+		return fmt.Sprintf("%d snapshots, want %d", len(got.snaps), len(want.snaps))
+	}
+	return ""
+}
+
 // TestAggregationByteIdentity replays 300 seeded random scenarios on
 // the plain path and on the production path and requires bitwise-equal
 // completion instants (and completion-dispatch order), per-channel
 // BytesCarried and IntegratedBytes, channel rates at probe instants,
 // and reshare counts. It fails if the property is vacuous: the
 // production runs must aggregate at least one flow and fast-forward at
-// least one pass, and the plain runs must do neither.
+// least one pass, and the plain runs must do neither. The indexed
+// subtest pins the production path's fill to the channel index and the
+// plain path's to the rescan.
 func TestAggregationByteIdentity(t *testing.T) {
-	var aggregated, ffPasses uint64
-	for seed := 1; seed <= 300; seed++ {
-		sc := genIDScenario(rand.New(rand.NewSource(int64(seed))))
-		want, got := sc.play(true), sc.play(false)
-		if want.aggregated != 0 || want.ffPasses != 0 {
-			t.Fatalf("seed %d: plain path aggregated %d flows and fast-forwarded %d passes",
-				seed, want.aggregated, want.ffPasses)
-		}
-		aggregated += got.aggregated
-		ffPasses += got.ffPasses
-		for i := range want.done {
-			if want.done[i] < 0 {
-				t.Fatalf("seed %d: transfer %d never completed", seed, i)
+	for _, mode := range []struct {
+		name        string
+		plain, prod int8
+	}{{"auto", fillAuto, fillAuto}, {"indexed", fillRescan, fillIndexed}} {
+		t.Run(mode.name, func(t *testing.T) {
+			var aggregated, ffPasses uint64
+			for seed := 1; seed <= 300; seed++ {
+				sc := genIDScenario(rand.New(rand.NewSource(int64(seed))))
+				want := sc.play(idMode{plain: true, fill: mode.plain})
+				got := sc.play(idMode{fill: mode.prod})
+				if want.aggregated != 0 || want.ffPasses != 0 {
+					t.Fatalf("seed %d: plain path aggregated %d flows and fast-forwarded %d passes",
+						seed, want.aggregated, want.ffPasses)
+				}
+				aggregated += got.aggregated
+				ffPasses += got.ffPasses
+				for i := range want.done {
+					if want.done[i] < 0 {
+						t.Fatalf("seed %d: transfer %d never completed", seed, i)
+					}
+				}
+				if d := diffObs(want, got); d != "" {
+					t.Fatalf("seed %d: plain and production paths differ: %s", seed, d)
+				}
 			}
-		}
-		switch {
-		case fmt.Sprint(want.done) != fmt.Sprint(got.done):
-			t.Errorf("seed %d: completion instants differ\nplain %v\nfast  %v", seed, want.done, got.done)
-		case fmt.Sprint(want.order) != fmt.Sprint(got.order):
-			t.Errorf("seed %d: completion order differs\nplain %v\nfast  %v", seed, want.order, got.order)
-		case !sameBits(want.carried, got.carried):
-			t.Errorf("seed %d: BytesCarried differs\nplain %v\nfast  %v", seed, want.carried, got.carried)
-		case !sameBits(want.integ, got.integ):
-			t.Errorf("seed %d: IntegratedBytes differs\nplain %v\nfast  %v", seed, want.integ, got.integ)
-		case !sameBits(want.rates, got.rates):
-			t.Errorf("seed %d: probed channel rates differ", seed)
-		case want.reshares != got.reshares || want.requests != got.requests:
-			t.Errorf("seed %d: Reshares %d/%d requests %d/%d (plain/fast)",
-				seed, want.reshares, got.reshares, want.requests, got.requests)
-		}
-		if t.Failed() {
-			t.Fatalf("seed %d: stopping at first failing scenario", seed)
-		}
+			if aggregated == 0 {
+				t.Errorf("no scenario aggregated a single flow; the identity property is vacuous")
+			}
+			if ffPasses == 0 {
+				t.Errorf("no scenario fast-forwarded a single pass; the identity property is vacuous")
+			}
+			t.Logf("production path: %d flows aggregated, %d passes fast-forwarded", aggregated, ffPasses)
+		})
 	}
-	if aggregated == 0 {
-		t.Errorf("no scenario aggregated a single flow; the identity property is vacuous")
-	}
-	if ffPasses == 0 {
-		t.Errorf("no scenario fast-forwarded a single pass; the identity property is vacuous")
-	}
-	t.Logf("production path: %d flows aggregated, %d passes fast-forwarded", aggregated, ffPasses)
 }

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -24,9 +25,12 @@ func waterFill(caps []float64, paths [][]int) (rates []float64, bnecks map[int]b
 	rates = make([]float64, len(paths))
 	frozen := make([]bool, len(paths))
 	bnecks = map[int]bool{}
+	load := make([]float64, len(caps))
+	unfrozen := make([]int, len(caps))
+	saturated := make([]bool, len(caps))
 	for {
-		load := make([]float64, len(caps))
-		unfrozen := make([]int, len(caps))
+		clear(load)
+		clear(unfrozen)
 		for i, p := range paths {
 			for _, l := range p {
 				load[l] += rates[i]
@@ -52,11 +56,8 @@ func waterFill(caps []float64, paths [][]int) (rates []float64, bnecks map[int]b
 				}
 			}
 		}
-		saturated := map[int]bool{}
 		for l := range caps {
-			if unfrozen[l] > 0 && caps[l]-load[l] <= 1e-12*caps[l] {
-				saturated[l] = true
-			}
+			saturated[l] = unfrozen[l] > 0 && caps[l]-load[l] <= 1e-12*caps[l]
 		}
 		for i, p := range paths {
 			if frozen[i] {
@@ -137,17 +138,27 @@ func setKeys(s map[int]bool) []int {
 }
 
 // TestMaxMinMatchesReferenceSolver compares the production allocation
-// with waterFill on 300 random instances: tagged symmetric fans (which
-// the production path folds into multiplicity-k groups) and single
-// flows over random multi-hop routes, checked after the first pass and
-// again after every completion and every later admission burst, so
-// fast-forwarded passes are checked as well as full ones.
+// with waterFill. The random and indexed subtests run 300 random
+// instances, the latter with every fill on the channel index: tagged
+// symmetric fans (which the production path folds into multiplicity-k
+// groups) and single flows over random multi-hop routes, checked after
+// the first pass and again after every completion and every later
+// admission burst, so fast-forwarded passes are checked as well as
+// full ones. The tiered subtest runs passes long enough to be handed
+// to the channel index.
 func TestMaxMinMatchesReferenceSolver(t *testing.T) {
+	t.Run("random", func(t *testing.T) { refRandom(t, fillAuto) })
+	t.Run("indexed", func(t *testing.T) { refRandom(t, fillIndexed) })
+	t.Run("tiered", refTiered)
+}
+
+func refRandom(t *testing.T, fill int8) {
 	var checks, ambiguous int
 	var aggregated, ffPasses uint64
 	for seed := 1; seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		eng, net := newNet()
+		net.fillMode = fill
 		var chans []*Channel
 		for i, n := 0, 1+rng.Intn(6); i < n; i++ {
 			c := math.Pow(10, 6+3*rng.Float64())
@@ -197,4 +208,92 @@ func TestMaxMinMatchesReferenceSolver(t *testing.T) {
 	}
 	t.Logf("%d checks (%d with tied bottlenecks), %d flows aggregated, %d passes fast-forwarded",
 		checks, ambiguous, aggregated, ffPasses)
+}
+
+// refTiered checks 24 instances on a 64-endpoint two-tier tree (eight
+// leaves of eight, uplinks oversubscribed 2:1 or 4:1, every link's
+// capacity jittered so bottleneck sets stay comparable). Even seeds run
+// a full all-to-all, one flow per ordered pair; odd seeds run an
+// EP-style pattern: strided groups of 4 or 8 endpoints exchange tagged
+// fans of two to four members per pair beside an untagged ring over
+// every endpoint. Each instance is checked after its first pass and
+// after its next completions (3 for an all-to-all, whose 4,032 flows
+// make the reference slow; 10 otherwise), and each must hand at least
+// one fill to the channel index.
+func refTiered(t *testing.T) {
+	const endpoints, leaf = 64, 8
+	var checks, ambiguous int
+	for seed := 1; seed <= 24; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		eng, net := newNet()
+		jitter := func(c float64) float64 { return c * (0.75 + 0.5*rng.Float64()) }
+		oversub := float64(int(2) << rng.Intn(2))
+		edge := make([]*Link, endpoints)
+		for i := range edge {
+			edge[i] = net.NewLink(fmt.Sprint("edge", i), jitter(16*gib), jitter(16*gib), 0)
+		}
+		up := make([]*Link, endpoints/leaf)
+		for i := range up {
+			c := leaf * 16 * gib / oversub
+			up[i] = net.NewLink(fmt.Sprint("up", i), jitter(c), jitter(c), 0)
+		}
+		route := func(s, d int) []*Channel {
+			if s/leaf == d/leaf {
+				return []*Channel{edge[s].Fwd(), edge[d].Rev()}
+			}
+			return []*Channel{edge[s].Fwd(), up[s/leaf].Fwd(), up[d/leaf].Rev(), edge[d].Rev()}
+		}
+		n, checksPer := 0, 11
+		if seed%2 == 0 {
+			checksPer = 4
+		}
+		check := func() {
+			if n++; n > checksPer {
+				return
+			}
+			checks++
+			if checkAgainstOracle(t, seed, net) {
+				ambiguous++
+			}
+		}
+		size := func() float64 { return float64(int64(1+rng.Intn(4)) << 20) }
+		if seed%2 == 0 {
+			for s := 0; s < endpoints; s++ {
+				for d := 0; d < endpoints; d++ {
+					if s != d {
+						net.StartEphemeral(route(s, d), size(), check)
+					}
+				}
+			}
+		} else {
+			g := 4 << rng.Intn(2)
+			stride := endpoints / g
+			for base := 0; base < stride; base++ {
+				for i := 0; i < g; i++ {
+					for j := 0; j < g; j++ {
+						if i == j {
+							continue
+						}
+						r, sz, tag := route(base+i*stride, base+j*stride), size(), new(AggTag)
+						for k := 2 + rng.Intn(3); k > 0; k-- {
+							net.StartEphemeralTagged(tag, r, sz, check)
+						}
+					}
+				}
+			}
+			for s := 0; s < endpoints; s++ {
+				net.StartEphemeral(route(s, (s+1)%endpoints), size(), check)
+			}
+		}
+		eng.Schedule(0, check) // after the first pass's admissions
+		for n < checksPer && eng.Step() {
+		}
+		if net.indexedPasses == 0 {
+			t.Fatalf("seed %d: no fill was handed to the channel index", seed)
+		}
+	}
+	if ambiguous*10 > checks {
+		t.Fatalf("%d of %d checks had tied bottlenecks; the set comparison barely ran", ambiguous, checks)
+	}
+	t.Logf("%d checks (%d with tied bottlenecks)", checks, ambiguous)
 }

@@ -46,13 +46,14 @@ type propFlow struct {
 }
 
 // buildPropCase generates the scenario for one seed, on the plain path
-// if plain is set; onEvent fires after every admission, completion and
-// capacity change. Everything —
+// if plain is set and with fill pinned to the given phase; onEvent
+// fires after every admission, completion and capacity change. Everything —
 // link count, capacities, latencies, paths, sizes, offsets, capacity
 // changes — derives from the seeded rng, so a failure report's seed
 // reproduces the exact case.
-func buildPropCase(rng *rand.Rand, plain bool, onEvent func(where string)) *propCase {
+func buildPropCase(rng *rand.Rand, plain bool, fill int8, onEvent func(where string)) *propCase {
 	eng, net := newNetPath(plain)
+	net.fillMode = fill
 	pc := &propCase{eng: eng, net: net}
 	nLinks := 1 + rng.Intn(8)
 	links := make([]*Link, nLinks)
@@ -186,16 +187,18 @@ func (pc *propCase) checkConservation(t *testing.T, seed int) {
 // the allocator invariants at every admission, completion and capacity
 // change, at eight random probe instants per scenario, and once after
 // the schedule drains (followed by the conservation check). It runs on
-// both the production path and the plain path.
+// the production path, the plain path, and the production path with
+// every fill on the channel index.
 func TestMaxMinProperties(t *testing.T) {
 	for _, mode := range []struct {
 		name  string
 		plain bool
-	}{{"production", false}, {"plain", true}} {
+		fill  int8
+	}{{"production", false, fillAuto}, {"plain", true, fillAuto}, {"indexed", false, fillIndexed}} {
 		t.Run(mode.name, func(t *testing.T) {
 			for seed := 0; seed < 200; seed++ {
 				var pc *propCase
-				pc = buildPropCase(rand.New(rand.NewSource(int64(seed)+1)), mode.plain, func(where string) {
+				pc = buildPropCase(rand.New(rand.NewSource(int64(seed)+1)), mode.plain, mode.fill, func(where string) {
 					pc.checkAllocation(t, seed, where)
 				})
 				rng := rand.New(rand.NewSource(int64(seed) * 977))
